@@ -60,7 +60,11 @@ impl StepTimeBackend {
 /// let model = PerfModel::paper_default();
 /// let additive = StepTimeEngine::new(model, StepTimeBackend::Additive);
 /// let wfbp = StepTimeEngine::new(model, StepTimeBackend::Dag(OverlapStrategy::Wfbp));
-/// // Overlap can only help: WFBP never prices a step above the sum.
+/// // This bandwidth-bound step gains from overlap: WFBP hides most of
+/// // its synchronization behind the backward pass. Overlap is not
+/// // free in general: WFBP pays the per-message latency on every
+/// // gradient message, so a latency-bound step can price above the
+/// // sum.
 /// assert!(wfbp.total_time(&job) <= additive.total_time(&job));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -51,7 +51,9 @@
 //! let path = NetworkPath::for_arch(model.config(), job.arch());
 //! let serial = evaluate(&step, &path, OverlapStrategy::Serial);
 //! let wfbp = evaluate(&step, &path, OverlapStrategy::Wfbp);
-//! assert!(wfbp.total <= serial.total); // overlap can only help
+//! // Holds on every zoo graph. A latency-bound step can price WFBP
+//! // above Serial: each gradient message pays the per-hop latency.
+//! assert!(wfbp.total <= serial.total);
 //! ```
 
 pub mod engine;

@@ -23,16 +23,20 @@
 //! engine — policies only choose *where* a gang lands); under
 //! [`QueueOrder::Qssf`]/[`QueueOrder::SjfOracle`] the head is the
 //! entry with the smallest estimated/true remaining service
-//! (starvation-bounded, ties to the oldest entry). Head-of-line
-//! blocking is preserved either way: when the selected head does not
-//! fit, nothing behind it backfills. After every event the engine
-//! replays the head against the policy, then reprices every running
-//! job from the per-server communicating-replica counters — the same
-//! max-min NIC model `pai-sim::cluster` prices, maintained
-//! incrementally (`O(running + servers)` per event instead of a full
-//! placement rebuild).
+//! (starvation-bounded, ties to the oldest entry). Finding that head
+//! costs O(log Q), not a scan of the queue: entries escalate in
+//! enqueue order, so the head is either the escalated front or the
+//! minimum of an ordered `(key, qseq)` index (see `ReadyQueue`).
+//! Head-of-line blocking is preserved either way: when the selected
+//! head does not fit, nothing behind it backfills. After every event
+//! the engine replays the head against the policy, then reprices
+//! every running job from the per-server communicating-replica
+//! counters — the same max-min NIC model `pai-sim::cluster` prices,
+//! maintained incrementally (`O(running + servers)` per event instead
+//! of a full placement rebuild).
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, VecDeque};
 
 use pai_faults::ExponentialBackoff;
 use pai_hw::{ClusterSpec, Seconds};
@@ -166,6 +170,114 @@ struct QueueEntry {
     queued_at: f64,
     /// Estimated remaining service at enqueue time (0 under FIFO).
     key: f64,
+    /// False once the entry has been served (it stays behind the
+    /// front until every older entry is gone).
+    live: bool,
+}
+
+/// A queue key ordered by [`f64::total_cmp`], the order the linear
+/// rule compares keys in.
+#[derive(Debug, Clone, Copy)]
+struct Key(f64);
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The gangs waiting for GPUs, in enqueue (`qseq`) order, with the
+/// head found in O(log Q).
+///
+/// The head is the minimum of `(unescalated?, key, qseq)`: entries
+/// queued at least `starvation_age` escalate above the rest and are
+/// served FIFO among themselves. Every entry is queued with
+/// `queued_at = now`, and neither `now` nor `qseq` ever decreases, so
+/// `queued_at` is monotone in `qseq` and the escalated entries are
+/// always a prefix of the queue. The head is therefore the front when
+/// the front is escalated (always, under FIFO), and otherwise — no
+/// entry escalated — the minimum of `by_key`, an ordered set of the
+/// live entries' `(key, qseq)`.
+///
+/// Serving an entry behind the front marks it dead in place; dead
+/// entries are popped once they reach the front, so the front is
+/// always live and FIFO stays a plain push-back/pop-front queue.
+struct ReadyQueue {
+    entries: VecDeque<QueueEntry>,
+    /// Live entries by `(key, qseq)`; empty under FIFO.
+    by_key: BTreeSet<(Key, u64)>,
+    ordered: bool,
+    starvation_age: f64,
+    next_qseq: u64,
+}
+
+impl ReadyQueue {
+    fn new(ordered: bool, starvation_age: f64) -> ReadyQueue {
+        ReadyQueue {
+            entries: VecDeque::new(),
+            by_key: BTreeSet::new(),
+            ordered,
+            starvation_age,
+            next_qseq: 0,
+        }
+    }
+
+    fn push(&mut self, job: usize, now: f64, key: f64) {
+        let qseq = self.next_qseq;
+        self.next_qseq += 1;
+        if self.ordered {
+            self.by_key.insert((Key(key), qseq));
+        }
+        self.entries.push_back(QueueEntry {
+            job,
+            qseq,
+            queued_at: now,
+            key,
+            live: true,
+        });
+    }
+
+    /// Position of the entry to serve next at `now`, if any.
+    fn head(&self, now: f64) -> Option<usize> {
+        let front = self.entries.front()?;
+        if !self.ordered || now - front.queued_at >= self.starvation_age {
+            return Some(0);
+        }
+        // Entries hold consecutive qseqs from the front on.
+        let &(_, qseq) = self.by_key.first()?;
+        Some((qseq - front.qseq) as usize)
+    }
+
+    /// The job queued at position `pos`.
+    fn job(&self, pos: usize) -> usize {
+        self.entries[pos].job
+    }
+
+    /// Serves the entry at position `pos` (a [`ReadyQueue::head`]).
+    fn serve(&mut self, pos: usize) {
+        let entry = &mut self.entries[pos];
+        entry.live = false;
+        if self.ordered {
+            self.by_key.remove(&(Key(entry.key), entry.qseq));
+        }
+        while self.entries.front().is_some_and(|e| !e.live) {
+            self.entries.pop_front();
+        }
+    }
 }
 
 /// The live remaining-service estimator behind a [`QueueOrder`].
@@ -203,39 +315,6 @@ impl Estimator {
             }
         }
     }
-}
-
-/// The queue entry to serve next: index 0 under FIFO, otherwise the
-/// minimum of `(unescalated?, key, qseq)` with entries older than
-/// `age` escalated to FIFO service among themselves — the starvation
-/// bound.
-fn select_head(queue: &VecDeque<QueueEntry>, ordered: bool, now: f64, age: f64) -> Option<usize> {
-    if queue.is_empty() {
-        return None;
-    }
-    if !ordered {
-        return Some(0);
-    }
-    let mut best = 0usize;
-    for i in 1..queue.len() {
-        let (cand, incumbent) = (&queue[i], &queue[best]);
-        let cand_escalated = now - cand.queued_at >= age;
-        let best_escalated = now - incumbent.queued_at >= age;
-        let better = match (cand_escalated, best_escalated) {
-            (true, false) => true,
-            (false, true) => false,
-            (true, true) => cand.qseq < incumbent.qseq,
-            (false, false) => match cand.key.total_cmp(&incumbent.key) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => cand.qseq < incumbent.qseq,
-            },
-        };
-        if better {
-            best = i;
-        }
-    }
-    Some(best)
 }
 
 /// Runs the stream to completion under one placement policy with
@@ -377,8 +456,7 @@ pub fn run_ordered(
     let mut free = vec![per_server; num_servers];
     let mut comm = vec![0usize; num_servers];
     let mut running: Vec<Running> = Vec::new();
-    let mut queue: VecDeque<QueueEntry> = VecDeque::new();
-    let mut qseq = 0u64;
+    let mut queue = ReadyQueue::new(ordered, starvation_age);
     let mut waiting: Vec<(f64, usize)> = Vec::new();
     let mut events: Vec<EventRecord> = Vec::new();
     let mut seq = 0usize;
@@ -440,8 +518,7 @@ pub fn run_ordered(
             // Nothing can happen but jobs remain: the policy wedged
             // the queue head on an idle cluster.
             None => {
-                let head =
-                    select_head(&queue, ordered, now, starvation_age).map_or(0, |i| queue[i].job);
+                let head = queue.head(now).map_or(0, |pos| queue.job(pos));
                 return Err(SchedError::Stalled {
                     policy: policy.name(),
                     job: head,
@@ -516,13 +593,7 @@ pub fn run_ordered(
                 // Re-predict with the store as grown by every job
                 // retired before this requeue.
                 let key = est.remaining_key(&jobs[job], state[job].executed, solo[job]);
-                queue.push_back(QueueEntry {
-                    job,
-                    qseq,
-                    queued_at: now,
-                    key,
-                });
-                qseq += 1;
+                queue.push(job, now, key);
                 record(&mut events, &mut seq, now, EventKind::Requeue, job);
             }
             _ => {
@@ -531,21 +602,15 @@ pub fn run_ordered(
                 if est.active() {
                     state[job].predicted = key;
                 }
-                queue.push_back(QueueEntry {
-                    job,
-                    qseq,
-                    queued_at: now,
-                    key,
-                });
-                qseq += 1;
+                queue.push(job, now, key);
                 record(&mut events, &mut seq, now, EventKind::Arrive, job);
             }
         }
 
         // Replay the ordering's head against the policy until it
         // blocks — head-of-line, no backfill behind a blocked head.
-        while let Some(head_idx) = select_head(&queue, ordered, now, starvation_age) {
-            let head = queue[head_idx].job;
+        while let Some(head_pos) = queue.head(now) {
+            let head = queue.job(head_pos);
             let j = &jobs[head];
             let assignment = match policy.place(j.cnodes, j.sync, &free) {
                 Some(a) => a,
@@ -571,7 +636,7 @@ pub fn run_ordered(
                     job: head,
                 });
             }
-            queue.remove(head_idx);
+            queue.serve(head_pos);
             let on_ethernet = match j.sync {
                 SyncClass::Ethernet => true,
                 // A split local gang spills its synchronization onto
@@ -704,6 +769,9 @@ mod tests {
     use pai_hw::Bytes;
     use pai_predict::Signature;
     use pai_sim::cluster::{ClusterJob, Placement};
+    use proptest::prelude::*;
+
+    use crate::order::QSSF_STARVATION_AGE_FLOOR_S;
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::testbed(0.7)
@@ -1072,6 +1140,143 @@ mod tests {
                 assert!(jm.finish_s >= jm.first_start_s);
                 assert!(jm.first_start_s >= jm.arrival_s);
                 assert!(jm.slowdown >= 1.0 - 1e-9);
+            }
+        }
+    }
+
+    /// The queue entry to serve next by a linear scan: index 0 under
+    /// FIFO, otherwise the minimum of `(unescalated?, key, qseq)` with
+    /// entries older than `age` escalated to FIFO service among
+    /// themselves — the starvation bound. The engine finds the same entry
+    /// in O(log Q) through [`ReadyQueue::head`]; this O(Q) scan is the
+    /// rule's definition, kept as the oracle its tests compare against.
+    fn select_head(
+        queue: &VecDeque<QueueEntry>,
+        ordered: bool,
+        now: f64,
+        age: f64,
+    ) -> Option<usize> {
+        if queue.is_empty() {
+            return None;
+        }
+        if !ordered {
+            return Some(0);
+        }
+        let mut best = 0usize;
+        for i in 1..queue.len() {
+            let (cand, incumbent) = (&queue[i], &queue[best]);
+            let cand_escalated = now - cand.queued_at >= age;
+            let best_escalated = now - incumbent.queued_at >= age;
+            let better = match (cand_escalated, best_escalated) {
+                (true, false) => true,
+                (false, true) => false,
+                (true, true) => cand.qseq < incumbent.qseq,
+                (false, false) => match cand.key.total_cmp(&incumbent.key) {
+                    Ordering::Less => true,
+                    Ordering::Greater => false,
+                    Ordering::Equal => cand.qseq < incumbent.qseq,
+                },
+            };
+            if better {
+                best = i;
+            }
+        }
+        Some(best)
+    }
+
+    /// One step of the differential drive.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        /// A fresh job arrives with this key.
+        Enqueue(f64),
+        /// The head, if any, is served.
+        Serve,
+        /// The longest-served job re-enters with this key.
+        Requeue(f64),
+    }
+
+    /// Keys with many ties, zero, and the far end of the range.
+    fn queue_key() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (0u8..4).prop_map(f64::from),
+            Just(1.0e300),
+            Just(f64::MAX),
+            1.0e-3f64..1.0e6,
+        ]
+    }
+
+    /// Arrivals and serves three times as often as requeues.
+    fn queue_op() -> impl Strategy<Value = QueueOp> {
+        prop_oneof![
+            queue_key().prop_map(QueueOp::Enqueue),
+            queue_key().prop_map(QueueOp::Enqueue),
+            queue_key().prop_map(QueueOp::Enqueue),
+            Just(QueueOp::Serve),
+            Just(QueueOp::Serve),
+            Just(QueueOp::Serve),
+            queue_key().prop_map(QueueOp::Requeue),
+        ]
+    }
+
+    /// Starvation ages: tiny positive, the 6 h floor, the default.
+    fn starvation_age() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::MIN_POSITIVE),
+            1.0e-9f64..1.0e-3,
+            Just(QSSF_STARVATION_AGE_FLOOR_S as f64),
+            Just(QSSF_STARVATION_AGE_S),
+        ]
+    }
+
+    /// Time steps in units of the starvation age, so entries cross
+    /// it — some exactly.
+    fn age_fraction() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.0), Just(0.25), 0.0f64..2.0]
+    }
+
+    proptest! {
+        /// The indexed queue serves exactly the entry the linear scan
+        /// picks, at every step of any enqueue/serve/requeue run.
+        #[test]
+        fn indexed_head_matches_the_linear_scan(
+            age in starvation_age(),
+            script in proptest::collection::vec((age_fraction(), queue_op()), 1..200),
+            ordered in (0u8..5).prop_map(|n| n > 0),
+        ) {
+            let mut linear: VecDeque<QueueEntry> = VecDeque::new();
+            let mut indexed = ReadyQueue::new(ordered, age);
+            let mut served: VecDeque<usize> = VecDeque::new();
+            let (mut now, mut next_job, mut qseq) = (0.0f64, 0usize, 0u64);
+            for (fraction, op) in script {
+                now += fraction * age;
+                let mut enqueue = |job: usize, key: f64, linear: &mut VecDeque<QueueEntry>| {
+                    linear.push_back(QueueEntry { job, qseq, queued_at: now, key, live: true });
+                    qseq += 1;
+                    indexed.push(job, now, key);
+                };
+                match op {
+                    QueueOp::Enqueue(key) => {
+                        enqueue(next_job, key, &mut linear);
+                        next_job += 1;
+                    }
+                    QueueOp::Requeue(key) => {
+                        if let Some(job) = served.pop_front() {
+                            enqueue(job, key, &mut linear);
+                        }
+                    }
+                    QueueOp::Serve => {
+                        if let Some(i) = select_head(&linear, ordered, now, age) {
+                            let pos = indexed.head(now).expect("a non-empty queue has a head");
+                            prop_assert_eq!(indexed.job(pos), linear[i].job);
+                            served.push_back(linear[i].job);
+                            linear.remove(i);
+                            indexed.serve(pos);
+                        }
+                    }
+                }
+                let expected = select_head(&linear, ordered, now, age).map(|i| linear[i].job);
+                prop_assert_eq!(indexed.head(now).map(|pos| indexed.job(pos)), expected);
             }
         }
     }
