@@ -6,14 +6,21 @@
 //! ([`StepTimeBackend::Dag`]) — so projections, sweeps, schedules and
 //! simulations downstream of [`pai_core::StepTimer`] run on either
 //! backend behind this one switch.
+//!
+//! The DAG backend never builds the DAG. A feature record lowers to
+//! the same uniform stages on every layer, so the engine replays the
+//! stages of [`from_features`](crate::lower::from_features) through
+//! [`evaluate`](crate::evaluate::evaluate)'s running sums and network
+//! clock in one allocation-free fold. The materialized path,
+//! `evaluate(&from_features(..), ..)`, is its oracle: the two agree
+//! bit for bit on every field.
 
 use pai_core::{ComponentTimes, PerfModel, StepTimer, WorkloadFeatures};
 use pai_hw::HardwareConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::evaluate::{evaluate, OverlapStrategy};
-use crate::lower::{from_features, DEFAULT_LAYERS};
-use crate::step::NetworkPath;
+use crate::evaluate::{evaluate_features, OverlapStrategy};
+use crate::lower::DEFAULT_LAYERS;
 
 /// Which pricing model a [`StepTimeEngine`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,10 +44,13 @@ impl StepTimeBackend {
 /// A [`StepTimer`] that prices jobs on a selectable backend.
 ///
 /// Population jobs exist only as feature records, so the DAG backends
-/// price the canonical [`from_features`] lowering (its `layers`
-/// granularity is configurable). Evaluation is a pure fold per job:
-/// callers may fan jobs out through `pai-par` at any thread count and
-/// get bit-identical results.
+/// price the canonical [`from_features`](crate::lower::from_features)
+/// lowering (its `layers` granularity is configurable) as a fold over
+/// its stages, without materializing the step; `from_features` +
+/// [`evaluate`](crate::evaluate::evaluate) is the oracle it matches
+/// bit for bit. Evaluation is a pure fold per job: callers may fan
+/// jobs out through `pai-par` at any thread count and get
+/// bit-identical results.
 ///
 /// # Examples
 ///
@@ -128,9 +138,7 @@ impl StepTimer for StepTimeEngine {
         match self.backend {
             StepTimeBackend::Additive => self.model.component_times(job),
             StepTimeBackend::Dag(strategy) => {
-                let step = from_features(job, self.model.config(), self.layers);
-                let path = NetworkPath::for_arch(self.model.config(), job.arch());
-                evaluate(&step, &path, strategy).component_times()
+                evaluate_features(job, self.model.config(), self.layers, strategy).component_times()
             }
         }
     }
@@ -139,6 +147,9 @@ impl StepTimer for StepTimeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::evaluate;
+    use crate::lower::from_features;
+    use crate::step::NetworkPath;
     use pai_core::Architecture;
     use pai_hw::{Bytes, Flops};
 
@@ -186,6 +197,36 @@ mod tests {
         let j = job(1.0);
         assert!(wfbp.total_time(&j) < serial.total_time(&j));
         assert!(fused.total_time(&j) < serial.total_time(&j));
+    }
+
+    /// Overlap does not always help. A 2-GPU NVLink job with a 1 MB
+    /// model and a 40 µs step is latency bound: WFBP adds the 1 µs
+    /// NVLink α once per message, 32 µs in all, but only ~26 µs of
+    /// backward compute follows the first gradient to hide it behind,
+    /// while Serial ships the same 1 MB as one α-free bulk transfer
+    /// (~75 µs against ~69 µs).
+    #[test]
+    fn wfbp_prices_a_latency_bound_job_above_serial() {
+        let m = PerfModel::paper_default();
+        let j = WorkloadFeatures::builder(Architecture::AllReduceLocal)
+            .cnodes(2)
+            .batch_size(32)
+            .weight_bytes(Bytes::from_mb(1.0))
+            .flops(Flops::from_giga(0.2))
+            .mem_access_bytes(Bytes::from_mb(10.0))
+            .build();
+        let config = m.config();
+        let step = from_features(&j, config, DEFAULT_LAYERS);
+        let path = NetworkPath::for_arch(config, j.arch());
+        let price = |s| {
+            let fold = StepTimeEngine::new(m, StepTimeBackend::Dag(s)).total_time(&j);
+            let oracle = evaluate(&step, &path, s).total;
+            assert_eq!(fold.as_f64().to_bits(), oracle.as_f64().to_bits(), "{s:?}");
+            fold
+        };
+        let serial = price(OverlapStrategy::Serial);
+        let wfbp = price(OverlapStrategy::Wfbp);
+        assert!(wfbp > serial, "wfbp {wfbp} vs serial {serial}");
     }
 
     #[test]

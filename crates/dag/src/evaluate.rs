@@ -19,10 +19,15 @@
 //!   paid once per bucket. A bucket is eligible when its *last*
 //!   constituent's producer retires.
 
-use pai_hw::{Bytes, Seconds};
+use std::borrow::Cow;
+
+use pai_core::WorkloadFeatures;
+use pai_graph::OpClass;
+use pai_hw::{Bytes, HardwareConfig, Seconds};
 use serde::{Deserialize, Serialize};
 
-use crate::step::{NetworkPath, PricedStep};
+use crate::lower::{FeatureStages, Stage};
+use crate::step::{arch_hops, bulk_time, message_time, Message, NetworkPath, PricedStep, Task};
 
 /// When may gradient bytes start crossing the network?
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -121,82 +126,187 @@ impl DagStepTime {
 ///
 /// Deterministic: a pure fold over the step's task and message order,
 /// so results are bit-identical at any thread count however callers
-/// fan jobs out.
+/// fan jobs out. One pass over the tasks retires each in order and
+/// releases the messages its retirement makes eligible.
 pub fn evaluate(step: &PricedStep, path: &NetworkPath, strategy: OverlapStrategy) -> DagStepTime {
-    let compute_total = step.stream_length();
-    let data_io = step.class_time(pai_graph::OpClass::Io);
-    let compute_bound = step.class_time(pai_graph::OpClass::ComputeBound);
-    let memory_bound = step.class_time(pai_graph::OpClass::MemoryBound);
-    let finish = step.finish_times();
-    // Eligibility time of a message: its producer's retirement.
-    let ready =
-        |after_task: usize| -> Seconds { finish.get(after_task).copied().unwrap_or(Seconds::ZERO) };
+    let msgs = ordered(step);
+    let mut pending = msgs.iter().peekable();
+    let mut stream = Stream::default();
+    let mut wire = Wire::new(strategy, |bytes| path.message_time(bytes));
+    for (i, &task) in step.tasks.iter().enumerate() {
+        let finish = stream.retire(task);
+        // Eligibility time of a message: its producer's retirement.
+        while let Some(m) = pending.next_if(|m| m.after_task == i) {
+            wire.push(finish, m.bytes);
+        }
+    }
+    // A producer index past the stream never retires: eligible at 0.
+    for m in pending {
+        wire.push(Seconds::ZERO, m.bytes);
+    }
+    let network = wire.finish(stream.prefix, || path.bulk_time(step.weight_bytes));
+    stream.verdict(network, step.messages.len())
+}
 
-    let (comm_busy, net_end, transfers) = match strategy {
-        OverlapStrategy::Serial => {
-            // Bulk-synchronous: the whole volume ships after the stream
-            // drains, at pure bandwidth cost — the additive model.
-            let bulk = path.bulk_time(step.weight_bytes);
-            (bulk, compute_total + bulk, usize::from(!bulk.is_zero()))
-        }
-        OverlapStrategy::Wfbp => {
-            let mut clock = Seconds::ZERO;
-            let mut busy = Seconds::ZERO;
-            let mut sent = 0usize;
-            for m in ordered(step) {
-                let cost = path.message_time(m.bytes);
-                clock = clock.max(ready(m.after_task)) + cost;
-                busy += cost;
-                sent += 1;
-            }
-            (busy, compute_total.max(clock), sent)
-        }
-        OverlapStrategy::FusedWfbp { threshold } => {
-            let mut clock = Seconds::ZERO;
-            let mut busy = Seconds::ZERO;
-            let mut sent = 0usize;
-            let mut bucket = Bytes::ZERO;
-            let mut bucket_ready = Seconds::ZERO;
-            let msgs = ordered(step);
-            for (i, m) in msgs.iter().enumerate() {
-                bucket += m.bytes;
-                // The bucket becomes eligible when its latest
-                // constituent's producer retires (producers are in
-                // eligibility order, so that is this one).
-                bucket_ready = bucket_ready.max(ready(m.after_task));
-                let last = i + 1 == msgs.len();
-                if bucket >= threshold || last {
-                    let cost = path.message_time(bucket);
-                    clock = clock.max(bucket_ready) + cost;
-                    busy += cost;
-                    sent += 1;
-                    bucket = Bytes::ZERO;
-                    bucket_ready = Seconds::ZERO;
-                }
-            }
-            (busy, compute_total.max(clock), sent)
-        }
-    };
+/// Prices the [`from_features`](crate::lower::from_features) lowering
+/// of `job` without building it: the same stages replayed through the
+/// same running sums and network clock as [`evaluate`], so the verdict
+/// is bit-identical to `evaluate(&from_features(..), &path, strategy)`
+/// with no allocation. Every message carries the same bytes, so its
+/// cost is priced once per job.
+pub(crate) fn evaluate_features(
+    job: &WorkloadFeatures,
+    config: &HardwareConfig,
+    layers: usize,
+    strategy: OverlapStrategy,
+) -> DagStepTime {
+    let stages = FeatureStages::new(job, config, layers);
+    let hops = || arch_hops(config, job.arch());
+    let per_message = stages.message.map(|b| (b, message_time(hops(), b)));
+    let mut wire = Wire::new(strategy, |bytes| match per_message {
+        Some((b, cost)) if b == bytes => cost,
+        _ => message_time(hops(), bytes),
+    });
+    let mut stream = Stream::default();
+    let mut finish = Seconds::ZERO;
+    stages.replay(
+        #[inline(always)]
+        |stage| match stage {
+            Stage::Task(task) => finish = stream.retire(task),
+            Stage::Message(bytes) => wire.push(finish, bytes),
+        },
+    );
+    let network = wire.finish(stream.prefix, || bulk_time(hops(), stages.weight_bytes));
+    stream.verdict(network, stages.message.map_or(0, |_| stages.layers))
+}
 
-    DagStepTime {
-        data_io,
-        compute_bound,
-        memory_bound,
-        comm_busy,
-        comm_exposed: net_end - compute_total,
-        total: net_end,
-        messages: step.messages.len(),
-        transfers,
+/// The compute stream's running sums, each added in task order.
+#[derive(Default)]
+struct Stream {
+    /// Σ durations so far: the finish time of the last retired task.
+    prefix: Seconds,
+    data_io: Seconds,
+    compute_bound: Seconds,
+    memory_bound: Seconds,
+}
+
+impl Stream {
+    /// Retires `task`; returns its finish time.
+    #[inline]
+    fn retire(&mut self, task: Task) -> Seconds {
+        self.prefix += task.dur;
+        match task.class {
+            OpClass::Io => self.data_io += task.dur,
+            OpClass::ComputeBound => self.compute_bound += task.dur,
+            OpClass::MemoryBound => self.memory_bound += task.dur,
+        }
+        self.prefix
+    }
+
+    /// The verdict once the network reports `(comm_busy, net_end,
+    /// transfers)`.
+    fn verdict(self, network: (Seconds, Seconds, usize), messages: usize) -> DagStepTime {
+        let (comm_busy, net_end, transfers) = network;
+        DagStepTime {
+            data_io: self.data_io,
+            compute_bound: self.compute_bound,
+            memory_bound: self.memory_bound,
+            comm_busy,
+            comm_exposed: net_end - self.prefix,
+            total: net_end,
+            messages,
+            transfers,
+        }
+    }
+}
+
+/// The network link: drains gradient messages FIFO in eligibility
+/// order under one strategy, pricing each transfer with `cost`.
+struct Wire<F> {
+    strategy: OverlapStrategy,
+    cost: F,
+    /// When the link goes idle.
+    clock: Seconds,
+    busy: Seconds,
+    sent: usize,
+    /// The open fusion bucket: its bytes and its eligibility, which is
+    /// its latest constituent's producer retirement.
+    bucket: Option<(Bytes, Seconds)>,
+}
+
+impl<F: Fn(Bytes) -> Seconds> Wire<F> {
+    fn new(strategy: OverlapStrategy, cost: F) -> Self {
+        Wire {
+            strategy,
+            cost,
+            clock: Seconds::ZERO,
+            busy: Seconds::ZERO,
+            sent: 0,
+            bucket: None,
+        }
+    }
+
+    /// A message of `bytes` becomes eligible at `ready`.
+    #[inline]
+    fn push(&mut self, ready: Seconds, bytes: Bytes) {
+        match self.strategy {
+            // Bulk-synchronous: nothing moves until the stream drains.
+            OverlapStrategy::Serial => {}
+            OverlapStrategy::Wfbp => self.send(ready, bytes),
+            OverlapStrategy::FusedWfbp { threshold } => {
+                let (open, open_ready) = self.bucket.unwrap_or((Bytes::ZERO, Seconds::ZERO));
+                let (bucket, ready) = (open + bytes, open_ready.max(ready));
+                self.bucket = if bucket >= threshold {
+                    self.send(ready, bucket);
+                    None
+                } else {
+                    Some((bucket, ready))
+                };
+            }
+        }
+    }
+
+    #[inline]
+    fn send(&mut self, ready: Seconds, bytes: Bytes) {
+        let cost = (self.cost)(bytes);
+        self.clock = self.clock.max(ready) + cost;
+        self.busy += cost;
+        self.sent += 1;
+    }
+
+    /// Closes the step once the stream drains at `stream_end`: the last
+    /// bucket flushes regardless of size. Returns `(comm_busy, net_end,
+    /// transfers)`.
+    fn finish(
+        mut self,
+        stream_end: Seconds,
+        bulk: impl FnOnce() -> Seconds,
+    ) -> (Seconds, Seconds, usize) {
+        if let OverlapStrategy::Serial = self.strategy {
+            // The whole volume ships after the stream at pure bandwidth
+            // cost — the additive model.
+            let bulk = bulk();
+            return (bulk, stream_end + bulk, usize::from(!bulk.is_zero()));
+        }
+        if let Some((bucket, ready)) = self.bucket.take() {
+            self.send(ready, bucket);
+        }
+        (self.busy, stream_end.max(self.clock), self.sent)
     }
 }
 
 /// Messages in eligibility order: by producing task, then by position
 /// (a stable sort, so the lowering's layer order breaks ties
-/// deterministically).
-fn ordered(step: &PricedStep) -> Vec<crate::step::Message> {
-    let mut msgs = step.messages.clone();
-    msgs.sort_by_key(|m| m.after_task);
-    msgs
+/// deterministically). Both lowerings emit them in that order already,
+/// so this borrows them and sorts a copy only for hand-built steps.
+fn ordered(step: &PricedStep) -> Cow<'_, [Message]> {
+    let msgs = &step.messages;
+    if msgs.windows(2).all(|w| w[0].after_task <= w[1].after_task) {
+        return Cow::Borrowed(msgs);
+    }
+    let mut sorted = msgs.clone();
+    sorted.sort_by_key(|m| m.after_task);
+    Cow::Owned(sorted)
 }
 
 #[cfg(test)]
@@ -346,6 +456,53 @@ mod tests {
         let ct = v.component_times();
         let sum = ct.data_io + ct.compute_bound + ct.memory_bound + ct.weight_traffic;
         assert!((sum.as_f64() - ct.total.as_f64()).abs() < 1e-12);
+    }
+
+    /// The fold's whole verdict, not only the component times, is the
+    /// lowered step's: busy time, message and transfer counts included.
+    #[test]
+    fn feature_fold_reproduces_every_verdict_field() {
+        use pai_core::{Architecture, PerfModel, WorkloadFeatures};
+        use pai_hw::Flops;
+        let config = *PerfModel::paper_default().config();
+        let fields = |v: &DagStepTime| {
+            let secs = [
+                v.data_io,
+                v.compute_bound,
+                v.memory_bound,
+                v.comm_busy,
+                v.comm_exposed,
+                v.total,
+            ];
+            (secs.map(|t| t.as_f64().to_bits()), v.messages, v.transfers)
+        };
+        for arch in Architecture::ALL {
+            let cnodes = if arch == Architecture::OneWorkerOneGpu {
+                1
+            } else {
+                4
+            };
+            let job = WorkloadFeatures::builder(arch)
+                .cnodes(cnodes)
+                .input_bytes(Bytes::from_mb(3.0))
+                .weight_bytes(Bytes::from_mb(100.0))
+                .flops(Flops::from_tera(0.1))
+                .mem_access_bytes(Bytes::from_gb(1.0))
+                .build();
+            let path = NetworkPath::for_arch(&config, arch);
+            for layers in [1, 7, 32] {
+                let step = crate::lower::from_features(&job, &config, layers);
+                for strategy in [
+                    OverlapStrategy::Serial,
+                    OverlapStrategy::Wfbp,
+                    OverlapStrategy::fused_default(),
+                ] {
+                    let want = evaluate(&step, &path, strategy);
+                    let got = evaluate_features(&job, &config, layers, strategy);
+                    assert_eq!(fields(&got), fields(&want), "{arch} {layers} {strategy:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! 3. [`engine`] exposes the whole thing as a
 //!    [`pai_core::StepTimer`] backend, so projections, sweeps,
 //!    schedules and simulations run on either the closed form or the
-//!    DAG behind the [`StepTimeBackend`] switch.
+//!    DAG behind the [`StepTimeBackend`] switch. It prices feature
+//!    records without building their step: one allocation-free fold
+//!    over the [`lower::from_features`] stages, bit-identical to
+//!    lowering and then evaluating.
 //!
 //! Everything is a pure deterministic fold: fanning jobs out through
 //! `pai-par` gives bit-identical results at any `PAI_THREADS`.

@@ -145,6 +145,86 @@ pub fn from_graph(graph: &Graph, job: &WorkloadFeatures, config: &HardwareConfig
     }
 }
 
+/// One stage of the [`from_features`] lowering, in stream order.
+pub(crate) enum Stage {
+    /// A compute-stream task.
+    Task(Task),
+    /// A gradient message, eligible when the task before it retires.
+    Message(Bytes),
+}
+
+/// The stages [`from_features`] lowers a feature record to, priced
+/// once: [`from_features`] materializes them and the feature fold
+/// ([`crate::evaluate::evaluate_features`]) replays them in place, so
+/// the two share every duration and the order they are visited in.
+pub(crate) struct FeatureStages {
+    pub(crate) layers: usize,
+    data_io: Seconds,
+    /// One forward layer: its compute-bound then memory-bound duration.
+    forward: [Seconds; 2],
+    /// One backward layer, carrying twice the forward work.
+    backward: [Seconds; 2],
+    /// Gradient each backward layer releases; `None` when the job
+    /// synchronizes nothing.
+    pub(crate) message: Option<Bytes>,
+    pub(crate) weight_bytes: Bytes,
+}
+
+impl FeatureStages {
+    /// Prices `job`'s stages at `layers` granularity (clamped to ≥ 1).
+    #[inline]
+    pub(crate) fn new(job: &WorkloadFeatures, config: &HardwareConfig, layers: usize) -> Self {
+        let layers = layers.max(1);
+        let contention = job
+            .arch()
+            .input_contention_factor(job.cnodes(), GPUS_PER_SERVER);
+        let td = config
+            .link(LinkKind::Pcie)
+            .transfer_time(job.input_bytes().scale(contention as f64));
+        let peak = config
+            .gpu()
+            .peak_flops()
+            .scale(config.efficiency().compute());
+        let tcc = job.flops() / peak;
+        let tcm = config
+            .link(LinkKind::HbmMemory)
+            .transfer_time(job.mem_access_bytes());
+        let l = layers as f64;
+        let layer = |share: f64| [tcc.scale(share / (3.0 * l)), tcm.scale(share / (3.0 * l))];
+        let weight_bytes = job.weight_bytes();
+        let sync = !weight_bytes.is_zero() && !job.arch().weight_media().is_empty();
+        FeatureStages {
+            layers,
+            data_io: td,
+            forward: layer(1.0),
+            backward: layer(2.0),
+            message: sync.then(|| weight_bytes.scale(1.0 / l)),
+            weight_bytes,
+        }
+    }
+
+    /// Visits every stage in stream order: the I/O task, `layers`
+    /// forward pairs, then `layers` backward pairs, each followed by
+    /// its gradient message when the job synchronizes.
+    #[inline(always)]
+    pub(crate) fn replay(&self, mut visit: impl FnMut(Stage)) {
+        use pai_graph::OpClass::{ComputeBound, Io, MemoryBound};
+        let task = |class, dur| Stage::Task(Task { class, dur });
+        visit(task(Io, self.data_io));
+        for _ in 0..self.layers {
+            visit(task(ComputeBound, self.forward[0]));
+            visit(task(MemoryBound, self.forward[1]));
+        }
+        for _ in 0..self.layers {
+            visit(task(ComputeBound, self.backward[0]));
+            visit(task(MemoryBound, self.backward[1]));
+            if let Some(bytes) = self.message {
+                visit(Stage::Message(bytes));
+            }
+        }
+    }
+}
+
 /// Synthesizes a canonical layered step from a feature record alone.
 ///
 /// `layers` is clamped to at least 1. Stage durations are chosen so
@@ -152,63 +232,26 @@ pub fn from_graph(graph: &Graph, job: &WorkloadFeatures, config: &HardwareConfig
 /// and memory-bound terms (up to float summation order): forward
 /// stages carry ⅓ of each computation term, backward stages ⅔, and
 /// each backward stage releases `S_w / layers` of gradient.
+///
+/// [`StepTimeEngine`](crate::StepTimeEngine) prices the same stages
+/// without building this step; `evaluate(&from_features(..), ..)` is
+/// the oracle it is tested against.
 pub fn from_features(job: &WorkloadFeatures, config: &HardwareConfig, layers: usize) -> PricedStep {
-    let layers = layers.max(1);
-    let contention = job
-        .arch()
-        .input_contention_factor(job.cnodes(), GPUS_PER_SERVER);
-    let td = config
-        .link(LinkKind::Pcie)
-        .transfer_time(job.input_bytes().scale(contention as f64));
-    let peak = config
-        .gpu()
-        .peak_flops()
-        .scale(config.efficiency().compute());
-    let tcc = job.flops() / peak;
-    let tcm = config
-        .link(LinkKind::HbmMemory)
-        .transfer_time(job.mem_access_bytes());
-    let l = layers as f64;
-
-    let mut tasks = Vec::with_capacity(1 + 4 * layers);
-    tasks.push(Task {
-        class: pai_graph::OpClass::Io,
-        dur: td,
+    let stages = FeatureStages::new(job, config, layers);
+    let mut tasks = Vec::with_capacity(1 + 4 * stages.layers);
+    let mut messages = Vec::with_capacity(stages.layers);
+    stages.replay(|stage| match stage {
+        Stage::Task(task) => tasks.push(task),
+        Stage::Message(bytes) => messages.push(Message {
+            after_task: tasks.len() - 1,
+            bytes,
+        }),
     });
-    for _ in 0..layers {
-        tasks.push(Task {
-            class: pai_graph::OpClass::ComputeBound,
-            dur: tcc.scale(1.0 / (3.0 * l)),
-        });
-        tasks.push(Task {
-            class: pai_graph::OpClass::MemoryBound,
-            dur: tcm.scale(1.0 / (3.0 * l)),
-        });
-    }
-    let mut messages = Vec::with_capacity(layers);
-    let weight_bytes = job.weight_bytes();
-    let sync = !weight_bytes.is_zero() && !job.arch().weight_media().is_empty();
-    for _ in 0..layers {
-        tasks.push(Task {
-            class: pai_graph::OpClass::ComputeBound,
-            dur: tcc.scale(2.0 / (3.0 * l)),
-        });
-        tasks.push(Task {
-            class: pai_graph::OpClass::MemoryBound,
-            dur: tcm.scale(2.0 / (3.0 * l)),
-        });
-        if sync {
-            messages.push(Message {
-                after_task: tasks.len() - 1,
-                bytes: weight_bytes.scale(1.0 / l),
-            });
-        }
-    }
     PricedStep {
         name: format!("{}x{}", job.arch(), job.cnodes()),
         tasks,
         messages,
-        weight_bytes,
+        weight_bytes: stages.weight_bytes,
     }
 }
 

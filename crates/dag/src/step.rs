@@ -102,11 +102,7 @@ impl NetworkPath {
     /// weight medium, in media order.
     pub fn for_arch(config: &HardwareConfig, arch: Architecture) -> Self {
         NetworkPath {
-            hops: arch
-                .weight_media()
-                .iter()
-                .map(|&kind| (config.link(kind), hop_latency(kind)))
-                .collect(),
+            hops: arch_hops(config, arch).collect(),
         }
     }
 
@@ -128,20 +124,14 @@ impl NetworkPath {
     /// One message end to end: `Σ_hops (α + S/B_eff)` — the α–β cost
     /// wait-free backprop pays per gradient push.
     pub fn message_time(&self, bytes: Bytes) -> Seconds {
-        self.hops
-            .iter()
-            .map(|(link, lat)| pai_collectives::latency::message_time(bytes, link, *lat))
-            .sum()
+        message_time(self.hops.iter().copied(), bytes)
     }
 
     /// The bulk bandwidth-only cost: `Σ_hops S/B_eff`, no per-message
     /// latency — exactly the additive model's `Tw`, term by term, in
     /// the same media order.
     pub fn bulk_time(&self, bytes: Bytes) -> Seconds {
-        self.hops
-            .iter()
-            .map(|(link, _)| link.transfer_time(bytes))
-            .sum()
+        bulk_time(self.hops.iter().copied(), bytes)
     }
 
     /// Σ of per-hop α — the fixed cost one message pays regardless of
@@ -149,6 +139,31 @@ impl NetworkPath {
     pub fn latency_per_message(&self) -> Seconds {
         self.hops.iter().map(|(_, lat)| lat.alpha()).sum()
     }
+}
+
+/// The hops [`NetworkPath::for_arch`] collects, walked in place: the
+/// feature fold prices messages without allocating a path.
+pub(crate) fn arch_hops(
+    config: &HardwareConfig,
+    arch: Architecture,
+) -> impl Iterator<Item = (LinkModel, Latency)> + '_ {
+    arch.weight_media()
+        .iter()
+        .map(|&kind| (config.link(kind), hop_latency(kind)))
+}
+
+/// [`NetworkPath::message_time`] over any hop sequence.
+pub(crate) fn message_time(
+    hops: impl Iterator<Item = (LinkModel, Latency)>,
+    bytes: Bytes,
+) -> Seconds {
+    hops.map(|(link, lat)| pai_collectives::latency::message_time(bytes, &link, lat))
+        .sum()
+}
+
+/// [`NetworkPath::bulk_time`] over any hop sequence.
+pub(crate) fn bulk_time(hops: impl Iterator<Item = (LinkModel, Latency)>, bytes: Bytes) -> Seconds {
+    hops.map(|(link, _)| link.transfer_time(bytes)).sum()
 }
 
 #[cfg(test)]
