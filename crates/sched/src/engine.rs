@@ -28,12 +28,22 @@
 //! enqueue order, so the head is either the escalated front or the
 //! minimum of an ordered `(key, qseq)` index (see `ReadyQueue`).
 //! Head-of-line blocking is preserved either way: when the selected
-//! head does not fit, nothing behind it backfills. After every event
-//! the engine replays the head against the policy, then reprices
-//! every running job from the per-server communicating-replica
-//! counters — the same max-min NIC model `pai-sim::cluster` prices,
-//! maintained incrementally (`O(running + servers)` per event instead
-//! of a full placement rebuild).
+//! head does not fit, nothing behind it backfills.
+//!
+//! Each event pays for the state it changed. After the event the
+//! engine replays the head against the policy, asking only when the
+//! head fits the free GPUs in total (a wider head blocks without a
+//! call). The partial-server count behind the fragmentation integral
+//! moves with `free` where `free` changes, in O(assignment). Step
+//! times come from the per-server communicating-replica counters —
+//! the same max-min NIC model `pai-sim::cluster` prices. Silent and
+//! contained-local gangs never share a NIC, so they are priced once
+//! at start; the Ethernet riders are repriced only after an event
+//! that started or retired a rider, the only events that move the
+//! counters. What stays `O(running)` on every event is the fluid
+//! advance of each running job's executed steps and the boundary
+//! scan for the next event: both must run per event, in this order
+//! of float operations, for the event log to stay bit-identical.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
@@ -317,6 +327,34 @@ impl Estimator {
     }
 }
 
+/// Per-step time of a gang placed on `assignment` under the live
+/// per-server Ethernet sharer counters `comm` — identical to
+/// `Placement::step_time_of` over a snapshot of the running set (a
+/// test pins this equivalence). `eth_time` is the solo Ethernet
+/// transfer time of one step's weight volume.
+fn step_time(
+    job: &SchedJob,
+    assignment: &[(usize, usize)],
+    on_ethernet: bool,
+    eth_time: f64,
+    comm: &[usize],
+) -> f64 {
+    let sync_term = if on_ethernet {
+        let oversub = assignment
+            .iter()
+            .map(|&(server, _)| comm[server])
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        eth_time * oversub as f64
+    } else if job.sync == SyncClass::Local {
+        job.local_sync_time.as_f64()
+    } else {
+        0.0
+    };
+    job.compute_time.as_f64() + sync_term
+}
+
 /// Runs the stream to completion under one placement policy with
 /// strict FIFO queue ordering — the original engine contract,
 /// byte-identical to [`run_ordered`] with [`QueueOrder::Fifo`].
@@ -465,6 +503,9 @@ pub fn run_ordered(
     let mut completed = 0usize;
     let mut busy_gpus = 0usize;
     let mut busy_integral = 0.0f64;
+    // Servers that are neither idle nor full, kept in step with `free`.
+    let mut partial = 0usize;
+    let is_partial = |idle: usize| usize::from(idle > 0 && idle < per_server);
     let mut frag_integral = 0.0f64;
 
     let record = |events: &mut Vec<EventRecord>, seq: &mut usize, time, kind, job| {
@@ -530,10 +571,6 @@ pub fn run_ordered(
         let elapsed = (time - now).max(0.0);
         if elapsed > 0.0 {
             busy_integral += busy_gpus as f64 * elapsed;
-            let partial = free
-                .iter()
-                .filter(|&&idle| idle > 0 && idle < per_server)
-                .count();
             frag_integral += partial as f64 * elapsed;
             for r in &running {
                 let s = &mut state[r.job];
@@ -545,16 +582,21 @@ pub fn run_ordered(
             }
         }
         now = time;
+        // Whether this event moved an Ethernet rider on or off a NIC.
+        let mut contention_moved = false;
 
         match class {
             CLASS_BOUNDARY => {
                 let r = running.swap_remove(slot);
                 for &(server, count) in &r.assignment {
+                    partial -= is_partial(free[server]);
                     free[server] += count;
+                    partial += is_partial(free[server]);
                     if r.on_ethernet {
                         comm[server] -= count;
                     }
                 }
+                contention_moved |= r.on_ethernet;
                 busy_gpus -= jobs[r.job].cnodes;
                 let s = &mut state[r.job];
                 s.executed = r.boundary;
@@ -608,10 +650,15 @@ pub fn run_ordered(
         }
 
         // Replay the ordering's head against the policy until it
-        // blocks — head-of-line, no backfill behind a blocked head.
+        // blocks — head-of-line, no backfill behind a blocked head. A
+        // gang wider than the free GPUs blocks without asking the
+        // policy (the `Policy` contract).
         while let Some(head_pos) = queue.head(now) {
             let head = queue.job(head_pos);
             let j = &jobs[head];
+            if j.cnodes > capacity - busy_gpus {
+                break;
+            }
             let assignment = match policy.place(j.cnodes, j.sync, &free) {
                 Some(a) => a,
                 None => break,
@@ -645,11 +692,14 @@ pub fn run_ordered(
                 SyncClass::Silent => false,
             };
             for &(server, count) in &assignment {
+                partial -= is_partial(free[server]);
                 free[server] -= count;
+                partial += is_partial(free[server]);
                 if on_ethernet {
                     comm[server] += count;
                 }
             }
+            contention_moved |= on_ethernet;
             busy_gpus += j.cnodes;
             let s = &mut state[head];
             if s.first_start.is_none() {
@@ -664,37 +714,27 @@ pub fn run_ordered(
                 }
                 _ => (j.steps as f64, false),
             };
+            // Off Ethernet the step time never changes; a rider's is
+            // repriced below with the rest of the riders.
+            let priced = step_time(j, &assignment, on_ethernet, eth_time[head], &comm);
             running.push(Running {
                 job: head,
                 assignment,
                 on_ethernet,
-                step_time: 0.0,
+                step_time: priced,
                 boundary,
                 boundary_is_crash,
             });
             record(&mut events, &mut seq, now, EventKind::Start, head);
         }
 
-        // Reprice every running job from the live sharer counters —
-        // identical to Placement::step_time_of over a snapshot of the
-        // running set (a test pins this equivalence).
-        for r in &mut running {
-            let j = &jobs[r.job];
-            let sync_term = if r.on_ethernet {
-                let oversub = r
-                    .assignment
-                    .iter()
-                    .map(|&(server, _)| comm[server])
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-                eth_time[r.job] * oversub as f64
-            } else if j.sync == SyncClass::Local {
-                j.local_sync_time.as_f64()
-            } else {
-                0.0
-            };
-            r.step_time = j.compute_time.as_f64() + sync_term;
+        // Only Ethernet riders share anything, and their prices move
+        // only when `comm` does — so reprice them after such an event
+        // and leave every other step time as it was priced at start.
+        if contention_moved {
+            for r in running.iter_mut().filter(|r| r.on_ethernet) {
+                r.step_time = step_time(&jobs[r.job], &r.assignment, true, eth_time[r.job], &comm);
+            }
         }
     }
 
@@ -1076,6 +1116,87 @@ mod tests {
                 job: 0
             }
         );
+    }
+
+    /// Forwards to a built-in policy and records every call's
+    /// `(cnodes, total free GPUs, placed?)`.
+    struct Recording {
+        inner: &'static dyn Policy,
+        calls: std::sync::Mutex<Vec<(usize, usize, bool)>>,
+    }
+    impl Policy for Recording {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn place(
+            &self,
+            cnodes: usize,
+            sync: SyncClass,
+            free: &[usize],
+        ) -> Option<Vec<(usize, usize)>> {
+            let out = self.inner.place(cnodes, sync, free);
+            let mut calls = self.calls.lock().expect("no call panics while recording");
+            calls.push((cnodes, free.iter().sum(), out.is_some()));
+            out
+        }
+    }
+
+    #[test]
+    fn policies_are_only_asked_when_the_gang_fits() {
+        // Wide gangs arriving faster than they drain, so heads block
+        // on capacity again and again.
+        let c = cluster();
+        let jobs: Vec<SchedJob> = (0..60)
+            .map(|i| {
+                let sync = [SyncClass::Silent, SyncClass::Local, SyncClass::Ethernet][i % 3];
+                job(
+                    i,
+                    i as f64 * 0.05,
+                    20 + i % 7,
+                    [96, 200, 8, 320, 1][i % 5],
+                    sync,
+                )
+            })
+            .collect();
+        for kind in PolicyKind::ALL {
+            let recording = Recording {
+                inner: kind.policy(),
+                calls: std::sync::Mutex::new(Vec::new()),
+            };
+            let order = order_for_kind(kind, 7, class_priors_from_jobs(&jobs, &c));
+            let out = run_ordered(&c, &jobs, &recording, &order, &cfg()).expect("runs");
+            let direct = run_kind(&c, &jobs, kind, 7, &cfg()).expect("runs");
+            assert_eq!(
+                out.events,
+                direct.events,
+                "{}: recording is transparent",
+                kind.name()
+            );
+            assert!(
+                out.jobs.iter().any(|m| m.queueing_delay_s > 0.0),
+                "{}: the stream must queue",
+                kind.name()
+            );
+            let calls = recording.calls.into_inner().expect("not poisoned");
+            let starts = out
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::Start)
+                .count();
+            assert_eq!(calls.len(), starts, "{}: one call per start", kind.name());
+            for (cnodes, free, placed) in calls {
+                assert!(
+                    cnodes <= free,
+                    "{}: asked for {cnodes} of {free} free",
+                    kind.name()
+                );
+                assert!(
+                    placed,
+                    "{}: a built-in policy refused a fitting gang",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,10 @@ use crate::job::SyncClass;
 /// positive counts within `free`, and counts summing to `cnodes`;
 /// `None` means "cannot place now" and leaves the job at the head of
 /// the FIFO queue.
+///
+/// The engine only asks when total free GPUs ≥ the gang's width
+/// (`cnodes <= free.iter().sum()`): a wider head blocks the queue
+/// without a call, since no valid placement exists.
 pub trait Policy: Sync {
     /// Stable display name.
     fn name(&self) -> &'static str;

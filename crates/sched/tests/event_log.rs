@@ -5,14 +5,20 @@
 //!    event logs pinned on the engine's original linear-scan head
 //!    selection, byte for byte, under every ordering path
 //!    (FIFO, online QSSF, the SJF oracle, inverted-oracle QSSF, and
-//!    QSSF with a one-hour starvation age so escalation fires often);
+//!    QSSF with a one-hour starvation age so escalation fires often)
+//!    and under the best-fit, spread and locality-aware placements;
+//!    drained replays of the same population at the `schedule`
+//!    experiment's offered load of 0.6 are pinned under all six
+//!    policies. The placement and drained digests were recorded on the
+//!    engine that still asked the policy about every head and repriced
+//!    every running job on every event;
 //! 2. an independent checker replays each event log against its jobs
 //!    and asserts the engine's invariants: running GPUs never exceed
 //!    the cluster, every job walks Arrive → (Start → Crash → Requeue)*
 //!    → Start → Finish exactly once, and while an escalated entry is
 //!    queued only the oldest queued entry may start.
 //!
-//! The checker runs on the saturated replays and on the six-policy ×
+//! The checker runs on every pinned replay and on the six-policy ×
 //! two-seed replays behind the `schedule` golden fixture (2 000 jobs).
 
 use std::collections::BTreeMap;
@@ -303,6 +309,83 @@ fn saturated_short_starvation_age_replay_is_pinned_and_escalates() {
         stats.escalated_starts > stats.starts / 10,
         "a one-hour age must escalate often: {stats:?}"
     );
+}
+
+#[test]
+fn saturated_placement_replays_are_pinned() {
+    for (kind, expected) in [
+        (PolicyKind::BestFitPacked, 0x9197_7e23_78ab_d93b),
+        (PolicyKind::Spread, 0xf049_5864_6157_d0db),
+        (PolicyKind::LocalityAware, 0xb26b_7f43_a1e2_2689),
+    ] {
+        saturated_replay(kind, QueueOrder::Fifo, expected);
+    }
+}
+
+/// The drained stream: the same 10k population at the `schedule`
+/// experiment's offered load of 0.6, so the queue empties between
+/// bursts and most of the run is many gangs sharing NICs across
+/// servers — where repricing and fragmentation do the most work.
+fn drained() -> &'static (ClusterSpec, Vec<SchedJob>) {
+    static STREAM: OnceLock<(ClusterSpec, Vec<SchedJob>)> = OnceLock::new();
+    STREAM.get_or_init(|| {
+        let cluster = ClusterSpec::testbed(0.7);
+        let model = PerfModel::paper_default();
+        let (templates, _) = templates_from_population(&model, &population(10_000), WIDTH_CAP);
+        let arrival = ArrivalConfig::for_offered_load(
+            &templates,
+            &cluster,
+            0.6,
+            ArrivalConfig::default().steps_range,
+        )
+        .expect("valid load");
+        let jobs = realize_stream(
+            &templates,
+            &arrival,
+            &FailureSampler::paper_calibrated(),
+            SEED,
+        )
+        .expect("valid stream");
+        (cluster, jobs)
+    })
+}
+
+#[test]
+fn drained_replays_of_every_policy_are_pinned() {
+    let (cluster, jobs) = drained();
+    let expected = [
+        (PolicyKind::FifoFirstFit, 0x59e7_41b4_1e14_20a0u64),
+        (PolicyKind::BestFitPacked, 0xce36_7aae_caa1_b8b6),
+        (PolicyKind::Spread, 0xf41e_edbe_5cc9_c98d),
+        (PolicyKind::LocalityAware, 0x8949_6113_df31_5a65),
+        (PolicyKind::Qssf, 0x96b4_dbe3_df0b_e810),
+        (PolicyKind::SjfOracle, 0xf4f6_f30f_12e5_b437),
+    ];
+    assert_eq!(expected.map(|(kind, _)| kind), PolicyKind::ALL);
+    for (kind, pinned) in expected {
+        let order = order_for_kind(kind, SEED, class_priors_from_jobs(jobs, cluster));
+        let out = run_ordered(
+            cluster,
+            jobs,
+            kind.policy(),
+            &order,
+            &SchedConfig::default(),
+        )
+        .expect("runs");
+        check_event_log(
+            jobs,
+            cluster.total_gpus(),
+            escalation_age(&order),
+            &out.events,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+        assert_eq!(
+            digest(&out.events),
+            pinned,
+            "{}: the event log moved",
+            kind.name()
+        );
+    }
 }
 
 #[test]
